@@ -31,7 +31,7 @@ impl World {
     }
 
     fn msg(&mut self, from: Rank, to: Rank, name: char) {
-        let (pb, _) = self.reds[from].build(to, self.clocks[from]);
+        let (pb, _) = self.reds[from].build(to);
         let sender_clock = self.clocks[from];
         self.reds[to].integrate(from, sender_clock, &pb);
         self.clocks[to] += 1;
@@ -69,7 +69,7 @@ fn run(t: Technique) -> (String, usize, u64) {
     w.msg(1, 3, 'i');
     w.msg(0, 3, 'j');
     // The dotted message: P3 -> P2.
-    let (pb, _) = w.reds[3].build(2, w.clocks[3]);
+    let (pb, _) = w.reds[3].build(2);
     let mut labels: Vec<char> = pb.iter().map(|d| w.name_of(d)).collect();
     labels.sort_unstable();
     let bytes = t.wire_len(&pb);

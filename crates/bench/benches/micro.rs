@@ -142,7 +142,7 @@ fn bench_reductions(c: &mut Criterion) {
                             red.absorb(&dets(n, 8));
                             red
                         },
-                        |mut red| red.build(3, (n / 8) as u64),
+                        |mut red| red.build(3),
                         BatchSize::SmallInput,
                     )
                 },

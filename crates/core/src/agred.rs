@@ -38,6 +38,26 @@ pub struct GraphRed {
     /// `known[peer][creator]`: clock up to which `peer` provably holds
     /// `creator`'s events (sent-to or received-from knowledge).
     known: Vec<Vec<RClock>>,
+    /// Scratch reused by every [`Reduction::build`]; empty or stale
+    /// between calls, never state.
+    scratch: Scratch,
+}
+
+/// Per-build buffers, kept across calls so a build allocates nothing but
+/// the piggyback it returns.
+#[derive(Clone, Default)]
+struct Scratch {
+    /// The receiver bound (see [`GraphRed::receiver_bound`]).
+    bound: Vec<RClock>,
+    /// Traversal stack of [`AGraph::causal_past_from`].
+    stack: Vec<(Rank, RClock)>,
+    /// The emitted set in `(creator, clock)` order.
+    set: Vec<Determinant>,
+    /// LogOn: per-creator `[cursor, end)` index ranges into `set`.
+    cursor: Vec<usize>,
+    end: Vec<usize>,
+    /// LogOn: per-creator highest clock the receiver holds or was sent.
+    emitted_up_to: Vec<RClock>,
 }
 
 impl GraphRed {
@@ -48,6 +68,13 @@ impl GraphRed {
             n,
             graph: AGraph::new(n),
             known: vec![vec![0; n]; n],
+            scratch: Scratch {
+                bound: vec![0; n],
+                cursor: vec![0; n],
+                end: vec![0; n],
+                emitted_up_to: vec![0; n],
+                ..Scratch::default()
+            },
         }
     }
 
@@ -55,90 +82,91 @@ impl GraphRed {
         &self.graph
     }
 
-    /// The per-creator bound of what `dst` already knows: its own events,
-    /// the causal past of its last event we know of, our sent cache and
-    /// global stability. The traversal is incremental: it never re-walks
+    /// Fills `scratch.bound` with the per-creator bound of what `dst`
+    /// already knows: its own events, the causal past of its last event
+    /// we know of, our sent cache and global stability, and returns the
+    /// vertices visited. The traversal is incremental: it never re-walks
     /// the region already covered by the sent cache (what Manetho's
     /// per-peer bookkeeping buys).
-    fn receiver_bound(&self, dst: Rank) -> (Vec<RClock>, u64) {
+    fn receiver_bound(&mut self, dst: Rank) -> u64 {
         // The floor on dst's own range is the dst-head at the previous
         // build on this channel (`known[dst][dst]`): older dst events
         // were walked then and their pasts are below the cache bound
         // anyway. Everything newer — including a first-ever send, where
         // the floor is zero — is walked to discover the receiver's past.
-        let floor: Vec<RClock> = (0..self.n)
-            .map(|c| self.known[dst][c].max(self.graph.stable(c)))
-            .collect();
-        let (mut bound, visits) = self
-            .graph
-            .causal_past_from(&[(dst, self.graph.head(dst))], &floor);
+        let bound = &mut self.scratch.bound;
+        for (c, (b, &k)) in bound.iter_mut().zip(&self.known[dst]).enumerate() {
+            *b = k.max(self.graph.stable(c));
+        }
+        let visits = self.graph.causal_past_from(
+            &[(dst, self.graph.head(dst))],
+            bound,
+            &mut self.scratch.stack,
+        );
         bound[dst] = RClock::MAX;
-        (bound, visits)
+        visits
     }
 
-    fn collect_above(&self, bound: &[RClock]) -> Vec<Determinant> {
-        let mut out = Vec::new();
+    /// Appends every retained determinant above `scratch.bound` to `out`
+    /// in `(creator, clock)` order, recording each creator's index range
+    /// of `out` in `scratch.cursor`/`scratch.end`.
+    fn collect_above(&mut self, out: &mut Vec<Determinant>) {
+        let s = &mut self.scratch;
         for c in 0..self.n {
-            if bound[c] == RClock::MAX {
-                continue;
+            s.cursor[c] = out.len();
+            if s.bound[c] != RClock::MAX {
+                out.extend(self.graph.above(c, s.bound[c]));
             }
-            out.extend(self.graph.above(c, bound[c]).copied());
+            s.end[c] = out.len();
         }
-        out
     }
 
-    /// Emits `set` in a valid partial order: no element is in the causal
-    /// past of a *later* element (ancestors first). Kahn-style repeated
-    /// passes over per-creator ascending queues.
-    fn logon_order(&self, mut set: Vec<Determinant>, bound: &[RClock]) -> Vec<Determinant> {
-        set.sort_by_key(|d| (d.receiver, d.clock));
-        // Per-creator cursors into the sorted set.
-        let mut queues: Vec<Vec<Determinant>> = vec![Vec::new(); self.n];
-        for d in set {
-            queues[d.receiver].push(d);
+    /// Emits `set` (from [`GraphRed::collect_above`], so `(creator,
+    /// clock)`-ascending) into the empty `out` in a valid partial order:
+    /// no element is in the causal past of a *later* element (ancestors
+    /// first). Kahn-style repeated passes over the per-creator index
+    /// ranges. `emitted_up_to` starts at the receiver bound, so a cause
+    /// the receiver already holds never blocks.
+    fn logon_order(&mut self, set: &[Determinant], out: &mut Vec<Determinant>) {
+        let s = &mut self.scratch;
+        for (e, &b) in s.emitted_up_to.iter_mut().zip(&s.bound) {
+            *e = if b == RClock::MAX { 0 } else { b };
         }
-        let mut cursor = vec![0usize; self.n];
-        let mut emitted_up_to: Vec<RClock> = bound
-            .iter()
-            .map(|&b| if b == RClock::MAX { 0 } else { b })
-            .collect();
-        let total: usize = queues.iter().map(|q| q.len()).sum();
-        let mut out = Vec::with_capacity(total);
-        while out.len() < total {
+        while out.len() < set.len() {
             let mut progressed = false;
             for c in 0..self.n {
-                while cursor[c] < queues[c].len() {
-                    let d = queues[c][cursor[c]];
+                while s.cursor[c] < s.end[c] {
+                    let d = set[s.cursor[c]];
                     let cause_ok = match d.cause_id() {
                         None => true,
                         Some(id) => {
-                            id.creator == d.receiver // program-order handled per queue
-                                || id.clock <= emitted_up_to[id.creator]
+                            id.creator == d.receiver // program-order handled per range
+                                || id.clock <= s.emitted_up_to[id.creator]
                                 || id.clock <= self.graph.stable(id.creator)
-                                || bound[id.creator] == RClock::MAX
-                                || id.clock <= bound[id.creator]
+                                || s.bound[id.creator] == RClock::MAX
                         }
                     };
                     if !cause_ok {
                         break;
                     }
-                    emitted_up_to[c] = d.clock;
+                    s.emitted_up_to[c] = d.clock;
                     out.push(d);
-                    cursor[c] += 1;
+                    s.cursor[c] += 1;
                     progressed = true;
                 }
             }
             if !progressed {
                 // A cause refers to an event we never held (it was pruned
                 // before we learned of it): flush remaining in creator
-                // order — still a valid order for everything we can know.
+                // order. This keeps program order only — a descendant of
+                // a blocked event can leave before it when its creator
+                // sorts first.
                 for c in 0..self.n {
-                    out.extend(queues[c][cursor[c]..].iter().copied());
-                    cursor[c] = queues[c].len();
+                    out.extend_from_slice(&set[s.cursor[c]..s.end[c]]);
+                    s.cursor[c] = s.end[c];
                 }
             }
         }
-        out
     }
 
     fn note_peer_knowledge(&mut self, from: Rank, sender_clock: RClock, dets: &[Determinant]) {
@@ -184,28 +212,31 @@ impl Reduction for GraphRed {
         }
     }
 
-    fn build(&mut self, dst: Rank, my_clock: RClock) -> (Vec<Determinant>, Work) {
-        let (bound, past_visits) = self.receiver_bound(dst);
-        let out = self.collect_above(&bound);
-        let visits = match self.kind {
+    fn build(&mut self, dst: Rank) -> (Vec<Determinant>, Work) {
+        let past_visits = self.receiver_bound(dst);
+        // Collect into the reused buffer, so the returned piggyback is one
+        // exact-size allocation.
+        let mut set = std::mem::take(&mut self.scratch.set);
+        self.collect_above(&mut set);
+        let (out, visits) = match self.kind {
             // Manetho crosses the receiver's past from its last known
-            // reception: the traversal itself is the dominant cost.
-            Technique::Manetho => past_visits + out.len() as u64,
+            // reception: the traversal itself is the dominant cost. The
+            // set is already (creator, clock) ascending: maximal factoring.
+            Technique::Manetho => (set.clone(), past_visits + set.len() as u64),
             // LogOn explores backwards from the sender's own last event,
             // touching only the region it will emit.
-            _ => out.len() as u64 + 1,
+            _ => {
+                let mut out = Vec::with_capacity(set.len());
+                self.logon_order(&set, &mut out);
+                (out, set.len() as u64 + 1)
+            }
         };
-        let out = match self.kind {
-            Technique::LogOn => self.logon_order(out, &bound),
-            _ => out, // already (creator, clock) ascending: maximal factoring
-        };
+        set.clear();
+        self.scratch.set = set;
         // Everything we hold is now known to dst.
-        for c in 0..self.n {
-            let head = self.graph.head(c);
-            let k = &mut self.known[dst][c];
-            *k = (*k).max(head);
+        for (c, k) in self.known[dst].iter_mut().enumerate() {
+            *k = (*k).max(self.graph.head(c));
         }
-        let _ = my_clock;
         (out, Work::visits(visits))
     }
 
@@ -219,9 +250,8 @@ impl Reduction for GraphRed {
         // vector, so it folds into the per-channel `known` floor. The
         // traversal in `receiver_bound` starts above that floor, making
         // GC notices also *cheapen* fresh-channel sends.
-        for c in 0..self.n {
-            let k = &mut self.known[peer][c];
-            *k = (*k).max(stable[c]);
+        for (k, &s) in self.known[peer].iter_mut().zip(stable) {
+            *k = (*k).max(s);
         }
     }
 
@@ -252,7 +282,7 @@ mod tests {
         from: Rank,
         to: Rank,
     ) -> Vec<Determinant> {
-        let (pb, _) = reds[from].build(to, clocks[from]);
+        let (pb, _) = reds[from].build(to);
         let sender_clock = clocks[from];
         reds[to].integrate(from, sender_clock, &pb);
         clocks[to] += 1;
@@ -285,7 +315,7 @@ mod tests {
         exchange(&mut reds, &mut clocks, 0, 3); // j = (P3, 4), cause a
 
         // The dotted message: P3 -> P2.
-        let (pb, _) = reds[3].build(2, clocks[3]);
+        let (pb, _) = reds[3].build(2);
         (pb, reds[3].retained_count())
     }
 
@@ -350,7 +380,7 @@ mod tests {
         ] {
             exchange(&mut reds, &mut clocks, from, to);
         }
-        let (pb, _) = reds[3].build(2, clocks[3]);
+        let (pb, _) = reds[3].build(2);
         // P3 knows all 10 events and has never talked to P2: all 10 go.
         assert_eq!(pb.len(), 10, "Vcausal must send all events: {pb:?}");
         // Including P2's own events back to it (the paper's point).
@@ -368,8 +398,8 @@ mod tests {
             let mut clocks = vec![0; 4];
             exchange(&mut reds, &mut clocks, 0, 1);
             exchange(&mut reds, &mut clocks, 1, 0);
-            let (first, _) = reds[0].build(1, clocks[0]);
-            let (second, _) = reds[0].build(1, clocks[0]);
+            let (first, _) = reds[0].build(1);
+            let (second, _) = reds[0].build(1);
             assert!(first.len() <= 2);
             assert!(second.is_empty(), "{kind:?} resent events");
         }
@@ -390,7 +420,7 @@ mod tests {
         // The EL acknowledged everything up to clock 2 for both creators.
         reds[0].apply_stable(&[2, 2, 0, 0]);
         assert!(reds[0].retained_count() < before);
-        let (pb, _) = reds[0].build(3, clocks[0]);
+        let (pb, _) = reds[0].build(3);
         assert!(pb.iter().all(|d| d.clock > 2));
     }
 
@@ -408,7 +438,7 @@ mod tests {
             // Rank 2's GC notice tells rank 3 that P1's and P2's events
             // up to these clocks are EL-stable at rank 2's checkpoint.
             reds[3].note_peer_stable(2, &[1, 2, 3, 0]);
-            let (pb, _) = reds[3].build(2, clocks[3]);
+            let (pb, _) = reds[3].build(2);
             assert!(
                 pb.iter().all(|d| d.clock > [1, 2, 3, 0][d.receiver]),
                 "{kind:?} piggybacked below the peer-stable floor: {pb:?}"
@@ -442,7 +472,7 @@ mod tests {
             ] {
                 exchange(&mut reds, &mut clocks, from, to);
             }
-            let (out, w) = reds[3].build(2, clocks[3]);
+            let (out, w) = reds[3].build(2);
             (out.len(), w.visits)
         };
         let (m_out, m_visits) = visits_of(Technique::Manetho);
@@ -466,7 +496,7 @@ mod tests {
             exchange(&mut reds, &mut clocks, 0, 1);
             exchange(&mut reds, &mut clocks, 1, 0);
         }
-        let (_, w) = reds[0].build(1, clocks[0]);
+        let (_, w) = reds[0].build(1);
         assert!(
             w.visits < 20,
             "warm-channel traversal should be O(new), got {} visits",

@@ -314,8 +314,8 @@ impl CausalProtocol {
     }
 
     fn apply_stable_vec(&mut self, stable: &[RClock]) {
-        for c in 0..self.n {
-            self.stable[c] = self.stable[c].max(stable[c]);
+        for (mine, &s) in self.stable.iter_mut().zip(stable) {
+            *mine = (*mine).max(s);
         }
         self.red.apply_stable(&self.stable);
         // Monotone watermark assignment; the merge law is `max`, so the
@@ -651,7 +651,7 @@ impl VProtocol for CausalProtocol {
         _ssn: Ssn,
     ) -> (PiggybackBlob, SimDuration) {
         let _codec = profiler::scope(profiler::Phase::Codec);
-        let (dets, work) = self.red.build(dst, self.rclock);
+        let (dets, work) = self.red.build(dst);
         let bytes = self.format.wire_len(&dets);
         let cost = self.build_cost(dets.len(), work.visits);
         self.stats.local().pb_events_sent += dets.len() as u64;

@@ -131,7 +131,7 @@ impl CoordinatedProtocol {
 
     fn send_markers(&mut self, ctx: &mut Ctx<'_>, id: u64) {
         let sent = ctx.core.next_ssn_watermarks();
-        for peer in 0..self.n {
+        for (peer, &upto_ssn) in sent.iter().enumerate() {
             if peer != self.rank {
                 vlog_sim::event!("marker" { from = self.rank, to = peer, id = id });
                 ctx.core.control_to_rank(
@@ -141,7 +141,7 @@ impl CoordinatedProtocol {
                     Box::new(MarkerCtl {
                         from: self.rank,
                         id,
-                        upto_ssn: sent[peer],
+                        upto_ssn,
                     }),
                 );
             }

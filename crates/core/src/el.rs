@@ -335,9 +335,12 @@ mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
 
+    /// Replies recorded by the probe, shared with the test body.
+    type Log<T> = Arc<Mutex<Vec<T>>>;
+
     struct Probe {
-        acks: Arc<Mutex<Vec<Vec<RClock>>>>,
-        resps: Arc<Mutex<Vec<(usize, Vec<RClock>)>>>,
+        acks: Log<Vec<RClock>>,
+        resps: Log<(usize, Vec<RClock>)>,
     }
 
     impl Actor for Probe {
@@ -365,13 +368,16 @@ mod tests {
         }
     }
 
-    fn setup() -> (
-        Sim,
-        ActorId,
-        ActorId,
-        Arc<Mutex<Vec<Vec<RClock>>>>,
-        Arc<Mutex<Vec<(usize, Vec<RClock>)>>>,
-    ) {
+    /// A one-shard Event Logger with a probe actor on its own node.
+    struct Rig {
+        sim: Sim,
+        el: ActorId,
+        probe: ActorId,
+        acks: Log<Vec<RClock>>,
+        resps: Log<(usize, Vec<RClock>)>,
+    }
+
+    fn setup() -> Rig {
         let mut sim = Sim::new(9);
         let el_node = sim.add_node();
         let client_node = sim.add_node();
@@ -385,12 +391,24 @@ mod tests {
                 resps: resps.clone(),
             }),
         );
-        (sim, el, probe, acks, resps)
+        Rig {
+            sim,
+            el,
+            probe,
+            acks,
+            resps,
+        }
     }
 
     #[test]
     fn records_are_acked_with_stable_vector() {
-        let (mut sim, el, probe, acks, _) = setup();
+        let Rig {
+            mut sim,
+            el,
+            probe,
+            acks,
+            ..
+        } = setup();
         for clock in 1..=3 {
             sim.net_send(
                 1,
@@ -412,7 +430,13 @@ mod tests {
 
     #[test]
     fn duplicate_records_are_detected() {
-        let (mut sim, el, probe, acks, _) = setup();
+        let Rig {
+            mut sim,
+            el,
+            probe,
+            acks,
+            ..
+        } = setup();
         for _ in 0..2 {
             sim.net_send(
                 1,
@@ -433,7 +457,13 @@ mod tests {
 
     #[test]
     fn query_returns_suffix_after_watermark() {
-        let (mut sim, el, probe, _, resps) = setup();
+        let Rig {
+            mut sim,
+            el,
+            probe,
+            resps,
+            ..
+        } = setup();
         for clock in 1..=5 {
             sim.net_send(
                 1,
@@ -577,7 +607,13 @@ mod tests {
 
     #[test]
     fn batched_records_get_one_coalesced_ack() {
-        let (mut sim, el, probe, acks, _) = setup();
+        let Rig {
+            mut sim,
+            el,
+            probe,
+            acks,
+            ..
+        } = setup();
         sim.net_send(
             1,
             el,

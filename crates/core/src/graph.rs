@@ -12,32 +12,70 @@
 //! Stable vertices (acknowledged by the Event Logger) are pruned — the
 //! paper notes the graphs "lose some vertices and incident edges" when
 //! the EL acknowledges.
+//!
+//! # Storage: one lane per creator
+//!
+//! A creator's clocks are dense (1, 2, 3, …), so its unstable vertices
+//! live in a contiguous lane indexed by position: slot `i` of creator
+//! `c`'s lane holds clock `stable[c] + 1 + i`. Lookup, insertion and the
+//! range scans of the traversal are index arithmetic, pruning drains the
+//! lane from the front, and cloning the graph for a checkpoint image is a
+//! contiguous copy.
+//!
+//! A creator's events need not arrive in clock order: a peer that knows
+//! some of them are stable at *its* end skips them on the wire, and a
+//! recovery `absorb` delivers whatever the responders still retain. A
+//! slot that was never filled is a **hole**, marked by the sentinel
+//! `clock == 0` (real clocks start at 1). Every scan skips holes, and a
+//! hole never counts as a visit: the visit count is the *modelled*
+//! traversal cost ([`crate::costs::CausalCosts::graph_visit_ns`] per
+//! vertex), which charges the vertices a graph holds, not the empty slots
+//! this layout happens to step over.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use vlog_vmpi::{RClock, Rank};
 
 use crate::event::Determinant;
 
+/// The hole sentinel: a lane slot whose vertex is not held.
+const HOLE: Determinant = Determinant {
+    receiver: 0,
+    clock: 0,
+    sender: 0,
+    ssn: 0,
+    cause: 0,
+};
+
+fn is_vertex(d: &&Determinant) -> bool {
+    d.clock != 0
+}
+
 /// One process's view of the antecedence graph.
 #[derive(Clone)]
 pub struct AGraph {
     n: usize,
-    /// Unstable vertices per creator, keyed by clock.
-    verts: Vec<BTreeMap<RClock, Determinant>>,
+    /// Unstable vertices per creator: slot `i` of `lanes[c]` holds clock
+    /// `stable[c] + 1 + i`, or a [`HOLE`] when that vertex is not held.
+    /// A lane never ends in a hole.
+    lanes: Vec<VecDeque<Determinant>>,
     /// Highest clock ever seen per creator (survives pruning).
     heads: Vec<RClock>,
-    /// Stability watermarks (vertices at or below are pruned).
+    /// Stability watermarks (vertices at or below are pruned); the base
+    /// clock of each lane.
     stable: Vec<RClock>,
+    /// Number of held vertices over all lanes (holes excluded).
+    len: usize,
 }
 
 impl AGraph {
     pub fn new(n: usize) -> Self {
         AGraph {
             n,
-            verts: vec![BTreeMap::new(); n],
+            lanes: vec![VecDeque::new(); n],
             heads: vec![0; n],
             stable: vec![0; n],
+            len: 0,
         }
     }
 
@@ -54,42 +92,62 @@ impl AGraph {
         self.stable[creator]
     }
 
+    /// Lane slot of `clock` for `creator`; `clock` must be above stable.
+    fn slot(&self, creator: Rank, clock: RClock) -> usize {
+        (clock - self.stable[creator] - 1) as usize
+    }
+
     /// Inserts a vertex; returns false when it was already present or
-    /// already stable.
+    /// already stable. A duplicate overwrites the held copy.
     pub fn insert(&mut self, det: Determinant) -> bool {
         let c = det.receiver;
         self.heads[c] = self.heads[c].max(det.clock);
         if det.clock <= self.stable[c] {
             return false;
         }
-        self.verts[c].insert(det.clock, det).is_none()
+        let i = self.slot(c, det.clock);
+        let lane = &mut self.lanes[c];
+        if i >= lane.len() {
+            lane.resize(i, HOLE);
+            lane.push_back(det);
+        } else {
+            let fresh = lane[i].clock == 0;
+            lane[i] = det;
+            if !fresh {
+                return false;
+            }
+        }
+        self.len += 1;
+        true
     }
 
     /// Number of retained (unstable) vertices.
     pub fn len(&self) -> usize {
-        self.verts.iter().map(|m| m.len()).sum()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Applies stability watermarks, pruning covered vertices.
     pub fn apply_stable(&mut self, stable: &[RClock]) {
-        for c in 0..self.n {
-            if stable[c] > self.stable[c] {
-                self.stable[c] = stable[c];
-                self.verts[c] = self.verts[c].split_off(&(stable[c] + 1));
+        for ((lane, mine), &s) in self.lanes.iter_mut().zip(&mut self.stable).zip(stable) {
+            if s > *mine {
+                let covered = (s - *mine).min(lane.len() as u64) as usize;
+                self.len -= lane.drain(..covered).filter(|d| d.clock != 0).count();
+                *mine = s;
             }
         }
     }
 
     /// All retained determinants, ordered by (creator, clock).
     pub fn retained(&self) -> Vec<Determinant> {
-        self.verts
-            .iter()
-            .flat_map(|m| m.values().copied())
-            .collect()
+        let mut out = Vec::with_capacity(self.len);
+        for lane in &self.lanes {
+            out.extend(lane.iter().filter(is_vertex));
+        }
+        out
     }
 
     /// Computes the causal past of `roots` as per-creator prefixes:
@@ -99,22 +157,28 @@ impl AGraph {
     /// vertices visited (the traversal cost the paper charges Manetho and
     /// LogOn for).
     pub fn causal_past(&self, roots: &[(Rank, RClock)]) -> (Vec<RClock>, u64) {
-        self.causal_past_from(roots, &vec![0; self.n])
+        let mut past = vec![0; self.n];
+        let visits = self.causal_past_from(roots, &mut past, &mut Vec::new());
+        (past, visits)
     }
 
-    /// [`AGraph::causal_past`] with a per-creator floor: regions at or
-    /// below `floor[c]` are treated as already covered and not walked.
-    /// Manetho's incremental border computation passes its per-channel
-    /// sent-cache here, so repeated sends to the same peer only traverse
-    /// the events that are new since the previous send.
+    /// [`AGraph::causal_past`] with a per-creator floor, over
+    /// caller-owned buffers: `past` holds the floor on entry and the
+    /// prefix vector on return; regions at or below `past[c]` are treated
+    /// as already covered and not walked. Manetho's incremental border
+    /// computation passes its per-channel sent-cache here, so repeated
+    /// sends to the same peer only traverse the events that are new since
+    /// the previous send. `stack` is scratch. Returns the number of
+    /// vertices visited.
     pub fn causal_past_from(
         &self,
         roots: &[(Rank, RClock)],
-        floor: &[RClock],
-    ) -> (Vec<RClock>, u64) {
-        let mut past = floor.to_vec();
+        past: &mut [RClock],
+        stack: &mut Vec<(Rank, RClock)>,
+    ) -> u64 {
         let mut visits = 0u64;
-        let mut stack: Vec<(Rank, RClock)> = roots.to_vec();
+        stack.clear();
+        stack.extend_from_slice(roots);
         while let Some((c, k)) = stack.pop() {
             let k = k.min(self.heads[c]);
             if k <= past[c] {
@@ -125,23 +189,33 @@ impl AGraph {
             if lo >= k {
                 continue; // the whole range is stable: globally known
             }
-            // Walk the newly covered range following cause edges. The
-            // program-order chain below `lo` is already covered (or
-            // stable).
-            for (_, det) in self.verts[c].range(lo + 1..=k) {
+            // Walk the newly covered range `lo+1..=k` following cause
+            // edges. The program-order chain below `lo` is already
+            // covered (or stable).
+            let lane = &self.lanes[c];
+            let start = self.slot(c, lo + 1);
+            let end = (self.slot(c, k) + 1).min(lane.len());
+            if start >= end {
+                continue;
+            }
+            for det in lane.range(start..end).filter(is_vertex) {
                 visits += 1;
                 if let Some(cause) = det.cause_id() {
                     stack.push((cause.creator, cause.clock));
                 }
             }
         }
-        (past, visits)
+        visits
     }
 
     /// Retained determinants of `creator` with clock strictly above `lo`,
     /// ascending.
     pub fn above(&self, creator: Rank, lo: RClock) -> impl Iterator<Item = &Determinant> + '_ {
-        self.verts[creator].range(lo + 1..).map(|(_, d)| d)
+        let lane = &self.lanes[creator];
+        let start = lo
+            .saturating_sub(self.stable[creator])
+            .min(lane.len() as u64) as usize;
+        lane.range(start..).filter(is_vertex)
     }
 }
 

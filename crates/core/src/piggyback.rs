@@ -465,7 +465,7 @@ pub fn decode_watermarks(mut buf: Bytes) -> Result<Vec<RClock>, PbCodecError> {
         }
         let z = codec::get_uvarint(&mut buf, "wm_delta")?;
         let v = prev.wrapping_add(codec::unzigzag(z) as u64);
-        wm.extend(std::iter::repeat(v).take(run));
+        wm.extend(std::iter::repeat_n(v, run));
         prev = v;
     }
     Ok(wm)

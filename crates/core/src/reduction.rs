@@ -99,11 +99,10 @@ pub trait Reduction: Send + Sync {
     /// update, no cost accounting — recovery time is measured separately).
     fn absorb(&mut self, dets: &[Determinant]);
 
-    /// Selects the determinants to piggyback on a message to `dst`
-    /// (`my_clock` is the sender's current reception clock) and updates
-    /// the sent-knowledge so nothing is ever piggybacked twice on one
-    /// channel. The returned order is the emission order.
-    fn build(&mut self, dst: Rank, my_clock: RClock) -> (Vec<Determinant>, Work);
+    /// Selects the determinants to piggyback on a message to `dst` and
+    /// updates the sent-knowledge so nothing is ever piggybacked twice on
+    /// one channel. The returned order is the emission order.
+    fn build(&mut self, dst: Rank) -> (Vec<Determinant>, Work);
 
     /// Applies Event Logger stability watermarks: determinants with
     /// `clock <= stable[creator]` are garbage-collected (never piggybacked

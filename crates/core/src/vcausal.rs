@@ -104,7 +104,7 @@ impl Reduction for VcausalRed {
         }
     }
 
-    fn build(&mut self, dst: Rank, _my_clock: RClock) -> (Vec<Determinant>, Work) {
+    fn build(&mut self, dst: Rank) -> (Vec<Determinant>, Work) {
         let mut out = Vec::new();
         let mut visits = 0u64;
         for c in 0..self.n {
@@ -125,22 +125,19 @@ impl Reduction for VcausalRed {
     }
 
     fn apply_stable(&mut self, stable: &[RClock]) {
-        for c in 0..self.n {
-            if stable[c] > self.stable[c] {
-                self.stable[c] = stable[c];
-                while self.seqs[c]
-                    .front()
-                    .is_some_and(|d| d.clock <= self.stable[c])
-                {
-                    self.seqs[c].pop_front();
+        for ((seq, mine), &s) in self.seqs.iter_mut().zip(&mut self.stable).zip(stable) {
+            if s > *mine {
+                *mine = s;
+                while seq.front().is_some_and(|d| d.clock <= s) {
+                    seq.pop_front();
                 }
             }
         }
     }
 
     fn note_peer_stable(&mut self, peer: Rank, stable: &[RClock]) {
-        for c in 0..self.n {
-            self.peer_stable[peer][c] = self.peer_stable[peer][c].max(stable[c]);
+        for (k, &s) in self.peer_stable[peer].iter_mut().zip(stable) {
+            *k = (*k).max(s);
         }
     }
 
@@ -176,12 +173,12 @@ mod tests {
         let mut r = VcausalRed::new(4);
         r.add_local(det(0, 1));
         r.add_local(det(0, 2));
-        let (first, _) = r.build(1, 2);
+        let (first, _) = r.build(1);
         assert_eq!(first.len(), 2);
-        let (second, _) = r.build(1, 2);
+        let (second, _) = r.build(1);
         assert!(second.is_empty(), "events were piggybacked twice");
         // A different channel still gets everything.
-        let (other, _) = r.build(2, 2);
+        let (other, _) = r.build(2);
         assert_eq!(other.len(), 2);
     }
 
@@ -202,13 +199,13 @@ mod tests {
         let mut r = VcausalRed::new(4);
         let d = det(2, 1); // event created by rank 2, learned from rank 1
         r.integrate(1, 0, &[d]);
-        let (back_to_1, _) = r.build(1, 0);
+        let (back_to_1, _) = r.build(1);
         assert_eq!(back_to_1, vec![d], "Vcausal must echo learned events");
         // ... but only once per channel.
-        let (again, _) = r.build(1, 0);
+        let (again, _) = r.build(1);
         assert!(again.is_empty());
         // And it even sends rank 2 its own event back.
-        let (to_creator, _) = r.build(2, 0);
+        let (to_creator, _) = r.build(2);
         assert_eq!(to_creator, vec![d]);
     }
 
@@ -221,7 +218,7 @@ mod tests {
         assert_eq!(r.retained_count(), 10);
         r.apply_stable(&[7, 0]);
         assert_eq!(r.retained_count(), 3);
-        let (pb, _) = r.build(1, 10);
+        let (pb, _) = r.build(1);
         assert_eq!(pb.len(), 3);
         assert!(pb.iter().all(|d| d.clock > 7));
         // Late (stale) determinants below the watermark are not re-added.
@@ -234,7 +231,7 @@ mod tests {
         r.absorb(&[det(1, 1), det(1, 2), det(1, 3)]);
         // Once the EL acknowledged them, they stop travelling entirely.
         r.apply_stable(&[0, 3]);
-        let (pb, _) = r.build(1, 0);
+        let (pb, _) = r.build(1);
         assert!(pb.is_empty());
     }
 
@@ -247,17 +244,17 @@ mod tests {
         // Rank 1 reported (via a GC notice) that rank 0's events up to
         // clock 4 are EL-stable: piggybacks to 1 skip them...
         r.note_peer_stable(1, &[4, 0, 0]);
-        let (to_1, _) = r.build(1, 6);
+        let (to_1, _) = r.build(1);
         assert_eq!(to_1.iter().map(|d| d.clock).collect::<Vec<_>>(), [5, 6]);
         // ...while rank 2 still gets everything, and the local store
         // keeps all six (peer knowledge is not global stability).
-        let (to_2, _) = r.build(2, 6);
+        let (to_2, _) = r.build(2);
         assert_eq!(to_2.len(), 6);
         assert_eq!(r.retained_count(), 6);
         // Stale (lower) reports never regress the floor.
         r.note_peer_stable(1, &[2, 0, 0]);
         r.add_local(det(0, 7));
-        let (again, _) = r.build(1, 7);
+        let (again, _) = r.build(1);
         assert_eq!(again.iter().map(|d| d.clock).collect::<Vec<_>>(), [7]);
     }
 

@@ -232,7 +232,7 @@ impl<T> EventCalendar<T> {
     pub fn position_of(&self, key: EventKey) -> Option<(SimTime, u64)> {
         let slot = self.slots.get(key.idx as usize)?;
         (slot.gen == key.gen && slot.payload.is_some() && !slot.tombstone)
-            .then(|| (slot.time, slot.seq))
+            .then_some((slot.time, slot.seq))
     }
 
     /// Cancels a pending event: the payload is freed immediately and the

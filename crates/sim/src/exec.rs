@@ -206,12 +206,15 @@ impl<T: Send + 'static> Future for OpFuture<T> {
     }
 }
 
+/// Callback run once when a task exits.
+pub(crate) type OnExit = Box<dyn FnOnce(&mut crate::kernel::Sim) + Send>;
+
 /// Storage for one spawned task.
 pub(crate) struct TaskSlot {
     pub(crate) fut: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
     pub(crate) gen: u32,
     pub(crate) node: Option<crate::kernel::NodeId>,
-    pub(crate) on_exit: Option<Box<dyn FnOnce(&mut crate::kernel::Sim) + Send>>,
+    pub(crate) on_exit: Option<OnExit>,
 }
 
 /// A waker that does nothing: readiness is signalled through the executor's

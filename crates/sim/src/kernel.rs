@@ -133,7 +133,7 @@ struct ActorSlot {
 }
 
 /// Simulation parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     /// RNG seed; identical seeds give identical runs.
     pub seed: u64,
@@ -141,16 +141,6 @@ pub struct SimConfig {
     pub net: NetProfile,
     /// Optional hard cap on dispatched events (runaway protection).
     pub event_limit: Option<u64>,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            seed: 0,
-            net: NetProfile::default(),
-            event_limit: None,
-        }
-    }
 }
 
 /// The simulation world. See module docs.
@@ -509,7 +499,7 @@ impl Sim {
         &mut self,
         node: Option<NodeId>,
         fut: std::pin::Pin<Box<dyn std::future::Future<Output = ()> + Send>>,
-        on_exit: Option<Box<dyn FnOnce(&mut Sim) + Send>>,
+        on_exit: Option<crate::exec::OnExit>,
     ) -> TaskId {
         // Reuse a dead slot if possible to keep indices small.
         let idx = self

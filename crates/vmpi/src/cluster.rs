@@ -279,11 +279,8 @@ impl RunReport {
     /// Event Logger shard acknowledged (zero without an EL).
     pub fn el_ack_latency_mean(&self) -> SimDuration {
         let n = self.stats.get("el_ack_samples");
-        if n == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(self.stats.get_time("el_ack_latency").as_nanos() / n)
-        }
+        let total = self.stats.get_time("el_ack_latency").as_nanos();
+        SimDuration::from_nanos(total.checked_div(n).unwrap_or(0))
     }
 
     /// Worst single arrival-to-ack-send latency at any Event Logger
@@ -416,8 +413,8 @@ impl ClusterRun {
             fn on_deliver(&mut self, _: &mut Sim, _: vlog_sim::ActorId, _: vlog_sim::Delivery) {}
         }
         let mut daemon_ids = Vec::with_capacity(n);
-        for rank in 0..n {
-            let me = sim.add_actor(rank_nodes[rank], Box::new(Placeholder));
+        for &node in &rank_nodes {
+            let me = sim.add_actor(node, Box::new(Placeholder));
             daemon_ids.push(me);
         }
         topo.set_ranks(daemon_ids.clone(), rank_nodes.clone());

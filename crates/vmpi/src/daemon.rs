@@ -88,7 +88,9 @@ struct PendingRdv {
     done: Option<OpCell<()>>,
 }
 
-struct HeldSend {
+/// An application send on its way out: held at the protocol gate, or
+/// handed to the transmit path.
+struct Outgoing {
     dst: Rank,
     tag: Tag,
     payload: Payload,
@@ -152,7 +154,7 @@ pub struct DaemonCore {
     expected_ssn: Vec<Ssn>,
     reorder: Vec<BTreeMap<Ssn, AppMsg>>,
     pending_rdv: BTreeMap<(Rank, Ssn), PendingRdv>,
-    held: VecDeque<HeldSend>,
+    held: VecDeque<Outgoing>,
 
     posted: VecDeque<PostedRecv>,
     unexpected: VecDeque<StoredMsg>,
@@ -675,50 +677,39 @@ impl Vdaemon {
             };
             self.proto.on_send_accept(&mut ctx, dst, tag, ssn, &payload)
         };
+        // Eager sends complete for the application at acceptance.
+        let done = if eager {
+            done.complete(());
+            None
+        } else {
+            Some(done)
+        };
+        let send = Outgoing {
+            dst,
+            tag,
+            payload,
+            ssn,
+            done,
+        };
         match gate {
-            SendGate::Go { cost } => {
-                // Eager sends complete for the application at acceptance.
-                let done = if eager {
-                    done.complete(());
-                    None
-                } else {
-                    Some(done)
-                };
-                self.transmit(sim, dst, tag, payload, ssn, cost, done);
-            }
-            SendGate::Hold => {
-                let done = if eager {
-                    done.complete(());
-                    None
-                } else {
-                    Some(done)
-                };
-                self.core.held.push_back(HeldSend {
-                    dst,
-                    tag,
-                    payload,
-                    ssn,
-                    done,
-                });
-            }
+            SendGate::Go { cost } => self.transmit(sim, send, cost),
+            SendGate::Hold => self.core.held.push_back(send),
         }
     }
 
     /// The transmit path: eager messages get their piggyback and leave;
     /// large messages go through RTS/CTS first.
-    fn transmit(
-        &mut self,
-        sim: &mut Sim,
-        dst: Rank,
-        tag: Tag,
-        payload: Payload,
-        ssn: Ssn,
-        gate_cost: SimDuration,
-        done: Option<OpCell<()>>,
-    ) {
-        if payload.len() <= self.core.profile.eager_threshold {
-            self.transmit_data(sim, dst, tag, payload, ssn, gate_cost, done);
+    fn transmit(&mut self, sim: &mut Sim, send: Outgoing, gate_cost: SimDuration) {
+        if send.payload.len() <= self.core.profile.eager_threshold {
+            self.transmit_data(sim, send, gate_cost);
         } else {
+            let Outgoing {
+                dst,
+                tag,
+                payload,
+                ssn,
+                done,
+            } = send;
             self.core
                 .pending_rdv
                 .insert((dst, ssn), PendingRdv { tag, payload, done });
@@ -741,16 +732,14 @@ impl Vdaemon {
         }
     }
 
-    fn transmit_data(
-        &mut self,
-        sim: &mut Sim,
-        dst: Rank,
-        tag: Tag,
-        payload: Payload,
-        ssn: Ssn,
-        gate_cost: SimDuration,
-        done: Option<OpCell<()>>,
-    ) {
+    fn transmit_data(&mut self, sim: &mut Sim, send: Outgoing, gate_cost: SimDuration) {
+        let Outgoing {
+            dst,
+            tag,
+            payload,
+            ssn,
+            done,
+        } = send;
         let (pb, pb_cost) = {
             let mut ctx = Ctx {
                 sim,
@@ -998,7 +987,14 @@ impl Vdaemon {
             }
             DaemonMsg::Cts { dst, ssn } => {
                 if let Some(p) = self.core.pending_rdv.remove(&(dst, ssn)) {
-                    self.transmit_data(sim, dst, p.tag, p.payload, ssn, SimDuration::ZERO, p.done);
+                    let send = Outgoing {
+                        dst,
+                        tag: p.tag,
+                        payload: p.payload,
+                        ssn,
+                        done: p.done,
+                    };
+                    self.transmit_data(sim, send, SimDuration::ZERO);
                 }
             }
             DaemonMsg::Proto(body) => {
@@ -1024,7 +1020,7 @@ impl Vdaemon {
                 // Re-gate every held message: the protocol decides which
                 // ones may leave now (pessimistic logging releases sends
                 // whose preceding events became stable).
-                let held: Vec<HeldSend> = self.core.held.drain(..).collect();
+                let held: Vec<Outgoing> = self.core.held.drain(..).collect();
                 for h in held {
                     let gate = {
                         let mut ctx = Ctx {
@@ -1036,7 +1032,7 @@ impl Vdaemon {
                     };
                     match gate {
                         SendGate::Go { cost } => {
-                            self.transmit(sim, h.dst, h.tag, h.payload, h.ssn, cost, h.done);
+                            self.transmit(sim, h, cost);
                         }
                         SendGate::Hold => self.core.held.push_back(h),
                     }

@@ -109,14 +109,10 @@ impl PhaseFaultArmature {
             let count = st.counts.entry((rank, phase)).or_insert(0);
             *count += 1;
             let n = *count;
-            match st
-                .pending
+            st.pending
                 .iter()
                 .position(|f| f.rank == rank && f.phase == phase && f.nth == n)
-            {
-                Some(pos) => Some(st.pending.remove(pos)),
-                None => None,
-            }
+                .map(|pos| st.pending.remove(pos))
         };
         let Some(fault) = hit else { return };
         let w = self.wiring.lock().unwrap();

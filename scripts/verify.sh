@@ -8,6 +8,9 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo clippy -p vlog-core --all-targets (lint gate, -D warnings)"
+cargo clippy -q --offline -p vlog-core --all-targets -- -D warnings
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
